@@ -624,6 +624,11 @@ class SeabedSession:
                 "pass either transport= or server=, not both: a transport "
                 "already decides where the server lives"
             )
+        if cluster is not None and not isinstance(cluster, SimulatedCluster):
+            raise PlanningError(
+                f"cluster= takes a SimulatedCluster, got {type(cluster).__name__}; "
+                "wrap a ClusterConfig as SimulatedCluster(config)"
+            )
         self.mode = mode
         # Even a remote session keeps a cluster handle: its config drives
         # client-side work (translation core counts, append batch slicing,

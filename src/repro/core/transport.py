@@ -2,20 +2,22 @@
 
 :class:`~repro.core.session.SeabedSession` never talks to a
 :class:`~repro.core.server.SeabedServer` (or its partition stores)
-directly any more -- every server-side effect goes through a
-:class:`Transport`:
+directly -- every server-side effect goes through a :class:`Transport`:
 
 - :class:`LocalTransport` (the default) wraps an in-process server plus
-  direct filesystem store access: exactly the single-process behavior
-  the repo always had, with zero serialization.
+  direct filesystem store access, with zero serialization.  Its public
+  methods *are* the op set: each one is also the handler the service
+  runs for the RPC op of the same name.
 - :class:`~repro.net.client.RemoteTransport` speaks the
-  :mod:`repro.net.codec` wire protocol to a
-  :mod:`repro.net.service` process, which may live on another host.
+  :mod:`repro.net.codec` wire protocol to a :mod:`repro.net.service`
+  process, which may live on another host.  Its methods are generated
+  from the service's op table (:data:`repro.net.service.RPC_OPS`), which
+  names these handlers, so adding an op never means mirroring a method.
 
-The method set is deliberately the *untrusted* half of the paper's
-split (Section 3): ciphertext batches in, encrypted responses and
-key-free client-state payloads out.  Nothing a transport carries ever
-contains key material -- the sidecar payloads it ships are the same
+The op set is deliberately the *untrusted* half of the paper's split
+(Section 3): ciphertext batches in, encrypted responses and key-free
+client-state payloads out.  Nothing a transport carries ever contains
+key material -- the sidecar payloads it ships are the same
 ``client_state.json`` documents :mod:`repro.core.persistence` already
 proves key-free, and :mod:`repro.net.audit` re-checks the invariant on
 the serving side.
@@ -23,7 +25,6 @@ the serving side.
 
 from __future__ import annotations
 
-import abc
 import os
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -40,7 +41,7 @@ from repro.engine.store import (
     truncate_store,
     write_store,
 )
-from repro.errors import ExecutionError, StorageError, TransportError
+from repro.errors import ExecutionError, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover -- type-only imports
     from repro.core.server import (
@@ -53,131 +54,20 @@ if TYPE_CHECKING:  # pragma: no cover -- type-only imports
     from repro.engine.table import Table
 
 
-class Transport(abc.ABC):
-    """What a session needs from the server side, local or remote.
+class Transport:
+    """The type a session's server side has, in process or remote.
 
-    ``timeout`` on the read paths is a per-call budget in seconds; the
-    in-process transport executes synchronously and ignores it, remote
-    transports enforce it on the wire and raise
+    A base type only: the op set is the public methods of
+    :class:`LocalTransport`, and :class:`~repro.net.client.RemoteTransport`
+    generates its methods from the service's op table, so the two cannot
+    drift apart.  ``timeout`` on the read paths is a per-call budget in
+    seconds; the in-process transport executes synchronously and ignores
+    it, remote transports enforce it on the wire and raise
     :class:`~repro.errors.TransportError` on expiry.
     """
 
     #: True when the server shares this process (no wire, no auth).
     local: bool = False
-
-    # -- query path --------------------------------------------------------
-
-    @abc.abstractmethod
-    def execute(
-        self, request: "ServerQuery", *, timeout: float | None = None
-    ) -> "ServerResponse":
-        """Run one translated aggregation request."""
-
-    @abc.abstractmethod
-    def scan(
-        self,
-        table: str,
-        columns: Sequence[str],
-        filt: "FilterExpr | None",
-        *,
-        timeout: float | None = None,
-    ) -> "ServerResponse":
-        """Filter and project encrypted rows."""
-
-    # -- ingestion ---------------------------------------------------------
-
-    @abc.abstractmethod
-    def upload(self, encrypted: "Table") -> None:
-        """Append one ciphertext batch to an in-memory table."""
-
-    @abc.abstractmethod
-    def append_batch(
-        self, table: str, encrypted: "Table", column_meta: dict[str, str]
-    ) -> int:
-        """Publish one ciphertext batch as a new store generation.
-
-        Does *not* commit: the session follows up with
-        :meth:`commit_state` (the sidecar watermark is the commit
-        record) and :meth:`reopen`.
-        """
-
-    # -- table metadata ----------------------------------------------------
-
-    @abc.abstractmethod
-    def table_meta(self, table: str) -> dict[str, Any] | None:
-        """Registration snapshot for ``table`` (``None`` when nothing is
-        registered): ``{"store_backed", "store_path", "num_partitions",
-        "num_rows"}``."""
-
-    @abc.abstractmethod
-    def storage_bytes(self, table: str) -> int:
-        """Server-side memory footprint of the registered ciphertexts."""
-
-    # -- persistence -------------------------------------------------------
-
-    @abc.abstractmethod
-    def save_store(
-        self,
-        table: str,
-        path: str,
-        column_meta: dict[str, str],
-        overwrite: bool = False,
-    ) -> str:
-        """Write the registered ciphertexts to a partition store at
-        ``path`` (resolved server-side), register the store-backed view,
-        and return the resolved absolute path."""
-
-    @abc.abstractmethod
-    def commit_state(self, table: str, payload: dict[str, Any]) -> None:
-        """Write the key-free client-state sidecar for a store-backed
-        table -- the commit point of saves and appends."""
-
-    @abc.abstractmethod
-    def read_store_state(self, path: str) -> dict[str, Any]:
-        """The raw sidecar payload of the store at ``path``."""
-
-    @abc.abstractmethod
-    def read_sharded_state(self, path: str) -> dict[str, Any]:
-        """The raw sharded-sidecar payload of the sharded table at
-        ``path``."""
-
-    @abc.abstractmethod
-    def store_rows(self, table: str) -> int:
-        """Rows in the newest published generation of the table's store
-        (committed or not)."""
-
-    @abc.abstractmethod
-    def truncate_store(self, table: str, committed: int) -> None:
-        """Roll the table's store back to ``committed`` rows."""
-
-    @abc.abstractmethod
-    def reopen(self, table: str) -> None:
-        """Re-register the latest committed view of a store-backed table."""
-
-    @abc.abstractmethod
-    def compact(self, table: str, target_rows: int | None = None) -> dict | None:
-        """Compact the table's store; reopen if anything changed."""
-
-    @abc.abstractmethod
-    def store_stats(self, table: str) -> dict:
-        """Zone-map index summary of the table's store."""
-
-    @abc.abstractmethod
-    def generations(self, table: str) -> list[dict]:
-        """The store's generation log (empty for in-memory tables)."""
-
-    @abc.abstractmethod
-    def rebuild_index(self, table: str) -> dict:
-        """Recompute zone maps and refresh the pinned server view."""
-
-    @abc.abstractmethod
-    def attach(self, path: str) -> dict[str, Any]:
-        """Open the store at ``path`` at its committed snapshot and
-        register it; returns ``{"name", "num_rows"}``."""
-
-    @abc.abstractmethod
-    def attach_sharded(self, path: str) -> dict[str, Any]:
-        """Host the persisted sharded table at ``path`` (remote only)."""
 
     def close(self) -> None:
         """Release transport resources (sockets); idempotent."""
@@ -185,8 +75,8 @@ class Transport(abc.ABC):
 
 class LocalTransport(Transport):
     """In-process transport: a :class:`SeabedServer` handle plus direct
-    store filesystem access.  This is the repo's historical single-
-    process mode, now behind the same interface the wire speaks."""
+    store filesystem access.  Parameter names are the wire arg keys of
+    the matching RPC ops, so renaming one breaks older clients."""
 
     local = True
 
@@ -199,31 +89,43 @@ class LocalTransport(Transport):
     def execute(
         self, request: "ServerQuery", *, timeout: float | None = None
     ) -> "ServerResponse":
+        """Run one translated aggregation request."""
         return self.server.execute(request)
 
     def scan(
         self,
         table: str,
         columns: Sequence[str],
-        filt: "FilterExpr | None",
+        filter: "FilterExpr | None",
         *,
         timeout: float | None = None,
     ) -> "ServerResponse":
-        return self.server.scan(table, list(columns), filt)
+        """Filter and project encrypted rows."""
+        return self.server.scan(table, list(columns), filter)
 
     # -- ingestion ---------------------------------------------------------
 
-    def upload(self, encrypted: "Table") -> None:
-        self.server.append(encrypted)
+    def upload(self, batch: "Table") -> None:
+        """Append one ciphertext batch to an in-memory table."""
+        self.server.append(batch)
 
     def append_batch(
-        self, table: str, encrypted: "Table", column_meta: dict[str, str]
+        self, table: str, batch: "Table", column_meta: dict[str, str]
     ) -> int:
-        return append_store(encrypted, self._store_path(table), column_meta=column_meta)
+        """Publish one ciphertext batch as a new store generation.
+
+        Does *not* commit: the session follows up with
+        :meth:`commit_state` (the sidecar watermark is the commit
+        record) and :meth:`reopen`.
+        """
+        return append_store(batch, self._store_path(table), column_meta=column_meta)
 
     # -- table metadata ----------------------------------------------------
 
     def table_meta(self, table: str) -> dict[str, Any] | None:
+        """Registration snapshot for ``table`` (``None`` when nothing is
+        registered): ``{"store_backed", "store_path", "num_partitions",
+        "num_rows"}``."""
         registered = self.server.get(table)
         if registered is None:
             return None
@@ -235,6 +137,7 @@ class LocalTransport(Transport):
         }
 
     def storage_bytes(self, table: str) -> int:
+        """Server-side memory footprint of the registered ciphertexts."""
         return self.server.storage_bytes(table)
 
     # -- persistence -------------------------------------------------------
@@ -252,6 +155,9 @@ class LocalTransport(Transport):
         column_meta: dict[str, str],
         overwrite: bool = False,
     ) -> str:
+        """Write the registered ciphertexts to a partition store at
+        ``path`` (resolved server-side), register the store-backed view,
+        and return the resolved absolute path."""
         resolved = self.cluster.config.resolve_store_path(path)
         write_store(
             self.server.table(table),
@@ -266,26 +172,36 @@ class LocalTransport(Transport):
         return os.path.abspath(resolved)
 
     def commit_state(self, table: str, payload: dict[str, Any]) -> None:
+        """Write the key-free client-state sidecar for a store-backed
+        table -- the commit point of saves and appends."""
         ps.write_sidecar_payload(self._store_path(table), payload)
 
     def read_store_state(self, path: str) -> dict[str, Any]:
+        """The raw sidecar payload of the store at ``path``."""
         resolved = self.cluster.config.resolve_store_path(path)
         return ps.read_sidecar_payload(resolved)
 
     def read_sharded_state(self, path: str) -> dict[str, Any]:
+        """The raw sharded-sidecar payload of the sharded table at
+        ``path``."""
         resolved = self.cluster.config.resolve_store_path(path)
         return ps.read_sharded_payload(resolved)
 
     def store_rows(self, table: str) -> int:
+        """Rows in the newest published generation of the table's store
+        (committed or not)."""
         return store_num_rows(self._store_path(table))
 
     def truncate_store(self, table: str, committed: int) -> None:
-        truncate_store(self._store_path(table), committed)
+        """Roll the table's store back to ``committed`` rows."""
+        truncate_store(self._store_path(table), int(committed))
 
     def reopen(self, table: str) -> None:
+        """Re-register the latest committed view of a store-backed table."""
         self.server.register(open_store(self._store_path(table)))
 
     def compact(self, table: str, target_rows: int | None = None) -> dict | None:
+        """Compact the table's store; reopen if anything changed."""
         store_path = self._store_path(table)
         stats = compact_store(store_path, target_rows=target_rows)
         if stats is not None:
@@ -293,6 +209,7 @@ class LocalTransport(Transport):
         return stats
 
     def store_stats(self, table: str) -> dict:
+        """Zone-map index summary of the table's store."""
         meta = self.table_meta(table)
         if meta is None:
             raise ExecutionError(f"no table {table!r} registered on the server")
@@ -308,12 +225,14 @@ class LocalTransport(Transport):
         return store_stats(meta["store_path"])
 
     def generations(self, table: str) -> list[dict]:
+        """The store's generation log (empty for in-memory tables)."""
         meta = self.table_meta(table)
         if meta is None or not meta["store_backed"]:
             return []
         return store_generations(meta["store_path"])
 
     def rebuild_index(self, table: str) -> dict:
+        """Recompute zone maps and refresh the pinned server view."""
         registered = self.server.table(table)
         if registered.store_path is None:
             raise StorageError(
@@ -329,16 +248,12 @@ class LocalTransport(Transport):
         return summary
 
     def attach(self, path: str) -> dict[str, Any]:
+        """Open the store at ``path`` at its committed snapshot and
+        register it; returns ``{"name", "num_rows"}``."""
         resolved = self.cluster.config.resolve_store_path(path)
         table = open_committed_store(resolved)
         self.server.register(table)
         return {"name": table.name, "num_rows": table.num_rows}
-
-    def attach_sharded(self, path: str) -> dict[str, Any]:
-        raise TransportError(
-            "attach_sharded is a remote-transport operation; local sessions "
-            "host sharded tables directly via open_sharded()"
-        )
 
 
 def open_committed_store(resolved: str) -> "Table":

@@ -372,6 +372,15 @@ def store_num_rows(path: str | os.PathLike) -> int:
     return int(_read_manifest(os.path.abspath(os.fspath(path)))["num_rows"])
 
 
+def store_table_name(path: str | os.PathLike) -> str | None:
+    """Name of the table whose store lives at ``path``, or ``None`` when
+    no store manifest is there."""
+    path = os.path.abspath(os.fspath(path))
+    if not os.path.exists(os.path.join(path, MANIFEST_NAME)):
+        return None
+    return str(_read_manifest(path)["table"])
+
+
 def _sweep_stale_tmp(path: str) -> None:
     """Remove staging leftovers from writers that died before renaming."""
     for entry in os.listdir(path):

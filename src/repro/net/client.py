@@ -1,17 +1,19 @@
 """Client half of the service boundary: :class:`RemoteTransport`.
 
 A blocking socket client for the :mod:`repro.net.service` protocol that
-plugs into :class:`~repro.core.session.SeabedSession` via the
-:class:`~repro.core.transport.Transport` interface -- queries, scans,
-appends, compaction and sharded scatter-gather all flow through the same
-method set the in-process :class:`~repro.core.transport.LocalTransport`
-implements, so session code is identical either way.
+plugs into :class:`~repro.core.session.SeabedSession` as its
+:class:`~repro.core.transport.Transport`.  Its op methods are generated,
+one per declaration in the service's op table
+(:data:`repro.net.service.RPC_OPS`): each takes its handler's signature
+and sends one ``{"op", "args"}`` request whose arg keys are the
+handler's parameter names, so session code reads the same as over the
+in-process :class:`~repro.core.transport.LocalTransport`.
 
 Failure surface is typed, never a raw ``OSError``:
 
 - connection loss / refused / mid-frame close ->
-  :class:`~repro.errors.TransportError` (idempotent reads are retried
-  with exponential backoff and a fresh connection first);
+  :class:`~repro.errors.TransportError` (ops declared idempotent are
+  retried with exponential backoff and a fresh connection first);
 - bad token or revocation -> :class:`~repro.errors.AuthError`;
 - admission-control rejection -> :class:`~repro.errors.Backpressure`
   with its ``retry_after`` hint;
@@ -25,10 +27,12 @@ Failure surface is typed, never a raw ``OSError``:
 
 from __future__ import annotations
 
+import inspect
 import socket
 import time
-from typing import Any
+from typing import Any, Callable
 
+from repro.core import server as srv
 from repro.core.access import AccessError  # noqa: F401 -- registers for _error_class
 from repro.core.transport import Transport
 from repro.errors import (
@@ -39,28 +43,11 @@ from repro.errors import (
     TransportError,
 )
 from repro.net import codec
+from repro.net.service import RPC_OPS, RpcOp
 from repro.obs import trace as obs_trace
 
-#: Ops safe to replay on a fresh connection after a transport failure:
-#: pure reads, plus reconcile-style ops whose replay converges.
-_IDEMPOTENT = {
-    "ping",
-    "execute",
-    "scan",
-    "table_meta",
-    "storage_bytes",
-    "read_store_state",
-    "read_sharded_state",
-    "store_rows",
-    "store_stats",
-    "generations",
-    "audit",
-    "metrics",
-    "trace",
-    "reopen",
-    "attach",
-    "attach_sharded",
-}
+#: Ops safe to replay on a fresh connection after a transport failure.
+_IDEMPOTENT = frozenset(name for name, op in RPC_OPS.items() if op.idempotent)
 
 
 def _error_class(name: str) -> type[SeabedError] | None:
@@ -82,7 +69,10 @@ class RemoteTransport(Transport):
     multiple tenants hit the service.  ``timeout`` per call rides in the
     request envelope so the *server* enforces it too; the socket itself
     waits slightly longer so the typed server-side timeout reply wins
-    over a raw socket timeout when both trigger.
+    over a raw socket timeout when both trigger.  The op methods
+    (``execute``, ``scan``, ``append_batch``, ...) are attached after
+    the class body, one per entry of
+    :data:`~repro.net.service.RPC_OPS`.
     """
 
     local = False
@@ -185,12 +175,18 @@ class RemoteTransport(Transport):
     def _request(
         self, op: str, args: dict[str, Any], *, timeout: float | None = None
     ) -> Any:
+        started = time.monotonic()
         if not obs_trace.enabled():
-            return self._request_inner(op, args, None, timeout)
-        # The wire span covers encode + socket + decode + retries; the
-        # server parents its own spans under it via the sent context.
-        with obs_trace.span(f"wire:{op}"):
-            return self._request_inner(op, args, self._trace_context(), timeout)
+            result = self._request_inner(op, args, None, timeout)
+        else:
+            # The wire span covers encode + socket + decode + retries; the
+            # server parents its own spans under it via the sent context.
+            with obs_trace.span(f"wire:{op}"):
+                result = self._request_inner(op, args, self._trace_context(), timeout)
+        if isinstance(result, srv.ServerResponse) and result.metrics is not None:
+            # client-observed round trip: serialization + network + service
+            result.metrics.wire_time = time.monotonic() - started
+        return result
 
     def _request_inner(
         self,
@@ -249,124 +245,33 @@ class RemoteTransport(Transport):
             f"request {op!r} failed after {attempts} attempt(s): {last}"
         ) from last
 
-    # -- Transport interface ------------------------------------------------
 
-    def execute(self, request, *, timeout: float | None = None):
-        started = time.monotonic()
-        response = self._request("execute", {"request": request}, timeout=timeout)
-        metrics = getattr(response, "metrics", None)
-        if metrics is not None:
-            # client-observed round trip: serialization + network + service
-            metrics.wire_time = time.monotonic() - started
-        return response
+def _client_method(op: RpcOp) -> Callable[..., Any]:
+    """The :class:`RemoteTransport` method for ``op``: bind the call to
+    the handler's signature and send the bound args as the request."""
+    handler = op.handler()
+    sig = inspect.signature(handler)
+    args_sig = sig.replace(parameters=list(sig.parameters.values())[1:])
 
-    def scan(self, table, columns, filt, *, timeout: float | None = None):
-        return self._request(
-            "scan",
-            {"table": table, "columns": list(columns), "filter": filt},
-            timeout=timeout,
-        )
+    def call(self: RemoteTransport, *args: Any, **kwargs: Any) -> Any:
+        bound = args_sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        wire = dict(bound.arguments)
+        timeout = wire.pop("timeout", None)
+        for key in op.batches:
+            wire[key] = codec.pack_table(wire[key])
+        return self._request(op.name, wire, timeout=timeout)
 
-    def upload(self, encrypted) -> None:
-        self._request("upload", {"batch": codec.pack_table(encrypted)})
+    call.__name__ = op.method
+    call.__qualname__ = f"RemoteTransport.{call.__name__}"
+    call.__doc__ = handler.__doc__
+    call.__signature__ = sig  # type: ignore[attr-defined]
+    return call
 
-    def append_batch(self, table, encrypted, column_meta) -> int:
-        return int(
-            self._request(
-                "append_batch",
-                {
-                    "table": table,
-                    "batch": codec.pack_table(encrypted),
-                    "column_meta": dict(column_meta),
-                },
-            )
-        )
 
-    def table_meta(self, table: str) -> dict[str, Any] | None:
-        return self._request("table_meta", {"table": table})
-
-    def storage_bytes(self, table: str) -> int:
-        return int(self._request("storage_bytes", {"table": table}))
-
-    def save_store(
-        self,
-        table: str,
-        path: str,
-        column_meta: dict[str, str],
-        overwrite: bool = False,
-    ) -> str:
-        return self._request(
-            "save_store",
-            {
-                "table": table,
-                "path": path,
-                "column_meta": dict(column_meta),
-                "overwrite": overwrite,
-            },
-        )
-
-    def commit_state(self, table: str, payload: dict[str, Any]) -> None:
-        self._request("commit_state", {"table": table, "payload": payload})
-
-    def read_store_state(self, path: str) -> dict[str, Any]:
-        return self._request("read_store_state", {"path": path})
-
-    def read_sharded_state(self, path: str) -> dict[str, Any]:
-        return self._request("read_sharded_state", {"path": path})
-
-    def store_rows(self, table: str) -> int:
-        return int(self._request("store_rows", {"table": table}))
-
-    def truncate_store(self, table: str, committed: int) -> None:
-        self._request("truncate_store", {"table": table, "committed": committed})
-
-    def reopen(self, table: str) -> None:
-        self._request("reopen", {"table": table})
-
-    def compact(self, table: str, target_rows: int | None = None) -> dict | None:
-        return self._request("compact", {"table": table, "target_rows": target_rows})
-
-    def store_stats(self, table: str) -> dict:
-        return self._request("store_stats", {"table": table})
-
-    def generations(self, table: str) -> list[dict]:
-        return self._request("generations", {"table": table})
-
-    def rebuild_index(self, table: str) -> dict:
-        return self._request("rebuild_index", {"table": table})
-
-    def attach(self, path: str) -> dict[str, Any]:
-        return self._request("attach", {"path": path})
-
-    def attach_sharded(self, path: str) -> dict[str, Any]:
-        return self._request("attach_sharded", {"path": path})
-
-    # -- extras --------------------------------------------------------------
-
-    def ping(self) -> dict[str, Any]:
-        return self._request("ping", {})
-
-    def audit_server(self) -> dict[str, Any]:
-        """Run the keyless audit *inside the serving process* and return
-        its summary: ``{"ok", "objects_walked", "flagged"}``."""
-        return self._request("audit", {})
-
-    def server_metrics(self, fmt: str = "prometheus") -> dict[str, Any]:
-        """Scrape the serving process's metrics registry.
-
-        ``fmt="prometheus"`` returns ``{"fmt", "text"}`` with the text
-        exposition; ``fmt="json"`` returns ``{"fmt", "metrics"}`` with
-        the nested snapshot.
-        """
-        return self._request("metrics", {"fmt": fmt})
-
-    def server_trace(
-        self, trace_id: str | None = None, limit: int = 256
-    ) -> dict[str, Any]:
-        """Fetch recent spans retained by the serving process (local-only
-        traces of untraced requests included), optionally filtered by
-        ``trace_id``; returns ``{"spans": [span dicts...]}``."""
-        return self._request("trace", {"trace_id": trace_id, "limit": limit})
+for _op in RPC_OPS.values():
+    setattr(RemoteTransport, _op.method, _client_method(_op))
+del _op
 
 
 def connect(

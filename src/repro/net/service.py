@@ -39,13 +39,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.core import persistence as ps
 from repro.core import server as srv
 from repro.core.access import AccessController, AccessError
 from repro.core.transport import LocalTransport, open_committed_store
 from repro.engine.cluster import ClusterConfig, SimulatedCluster
+from repro.engine.store import store_table_name
 from repro.errors import (
     AuthError,
     Backpressure,
@@ -93,6 +94,119 @@ class _Tenant:
     def __init__(self, max_in_flight: int):
         self.sem = asyncio.Semaphore(max_in_flight)
         self.waiting = 0
+
+
+#: An op's access check: the table names one call touches, from its
+#: decoded args, before the handler runs.
+Acl = Callable[["SeabedService", dict[str, Any]], Iterable[str]]
+
+
+def no_tables(service: "SeabedService", args: dict[str, Any]) -> tuple[str, ...]:
+    """The ACL of ops that touch no table; the authenticated hello is
+    their only gate."""
+    return ()
+
+
+def _table_arg(service: "SeabedService", args: dict[str, Any]) -> tuple[str, ...]:
+    return (args["table"],)
+
+
+def _query_tables(service: "SeabedService", args: dict[str, Any]) -> tuple[str, ...]:
+    request = args["request"]
+    if not isinstance(request, srv.ServerQuery):
+        raise CodecError("execute expects a ServerQuery request")
+    if request.join is None:
+        return (request.table,)
+    return (request.table, request.join.build_table)
+
+
+def _batch_table(service: "SeabedService", args: dict[str, Any]) -> tuple[str, ...]:
+    return (args["batch"].name,)
+
+
+def _save_tables(service: "SeabedService", args: dict[str, Any]) -> tuple[str, ...]:
+    # ``overwrite=True`` replaces whatever store sits at the destination,
+    # so its owner is touched as much as the saved table is.
+    dest = service.cluster.config.resolve_store_path(args["path"])
+    owner = store_table_name(dest)
+    return (args["table"],) if owner is None else (args["table"], owner)
+
+
+def _store_state_table(service: "SeabedService", args: dict[str, Any]) -> tuple[str, ...]:
+    return (service._local.read_store_state(args["path"])["schema"]["name"],)
+
+
+def _sharded_state_table(service: "SeabedService", args: dict[str, Any]) -> tuple[str, ...]:
+    return (service._local.read_sharded_state(args["path"])["schema"]["name"],)
+
+
+@dataclass(frozen=True)
+class RpcOp:
+    """One client<->service RPC op, declared once.
+
+    ``name`` is the wire op and the handler's method name: on
+    :class:`~repro.core.transport.LocalTransport`, or on
+    :class:`SeabedService` when ``on_service``.  The handler's parameters
+    are the wire arg keys (a ``timeout`` parameter rides in the request
+    envelope instead), and :class:`~repro.net.client.RemoteTransport`
+    gets a method with the handler's signature, named ``client_name``
+    when that differs from ``name``.  ``acl`` names the tables a call
+    touches (:func:`no_tables` when none); ``idempotent`` ops are replayed
+    on a fresh connection after a transport failure; the args named in
+    ``batches`` travel as :func:`~repro.net.codec.pack_table` batches.
+    """
+
+    name: str
+    acl: Acl
+    idempotent: bool
+    on_service: bool = False
+    client_name: str | None = None
+    batches: tuple[str, ...] = ()
+
+    @property
+    def method(self) -> str:
+        """The op's method name on :class:`~repro.net.client.RemoteTransport`."""
+        return self.client_name or self.name
+
+    def handler(self) -> Callable[..., Any]:
+        """The handler function, as its class holds it now."""
+        return getattr(SeabedService if self.on_service else LocalTransport, self.name)
+
+
+#: The whole client<->service surface: service dispatch, the client's
+#: methods and its retry policy all derive from these declarations.
+RPC_OPS: dict[str, RpcOp] = {
+    op.name: op
+    for op in (
+        RpcOp("execute", _query_tables, idempotent=True),
+        RpcOp("scan", _table_arg, idempotent=True),
+        RpcOp("upload", _batch_table, idempotent=False, batches=("batch",)),
+        RpcOp("append_batch", _table_arg, idempotent=False, batches=("batch",)),
+        RpcOp("table_meta", _table_arg, idempotent=True),
+        RpcOp("storage_bytes", _table_arg, idempotent=True),
+        RpcOp("save_store", _save_tables, idempotent=False),
+        RpcOp("commit_state", _table_arg, idempotent=False),
+        RpcOp("read_store_state", _store_state_table, idempotent=True),
+        RpcOp("read_sharded_state", _sharded_state_table, idempotent=True),
+        RpcOp("store_rows", _table_arg, idempotent=True),
+        RpcOp("truncate_store", _table_arg, idempotent=False),
+        # Reconcile-style: replaying a reopen or an attach converges.
+        RpcOp("reopen", _table_arg, idempotent=True),
+        RpcOp("compact", _table_arg, idempotent=False),
+        RpcOp("store_stats", _table_arg, idempotent=True),
+        RpcOp("generations", _table_arg, idempotent=True),
+        RpcOp("rebuild_index", _table_arg, idempotent=False),
+        RpcOp("attach", _store_state_table, idempotent=True),
+        RpcOp("attach_sharded", _sharded_state_table, idempotent=True, on_service=True),
+        RpcOp("ping", no_tables, idempotent=True, on_service=True),
+        RpcOp("audit", no_tables, idempotent=True, on_service=True,
+              client_name="audit_server"),
+        RpcOp("metrics", no_tables, idempotent=True, on_service=True,
+              client_name="server_metrics"),
+        RpcOp("trace", no_tables, idempotent=True, on_service=True,
+              client_name="server_trace"),
+    )
+}
 
 
 class SeabedService:
@@ -217,114 +331,62 @@ class SeabedService:
 
     # -- request execution (executor threads) ------------------------------
 
-    def _check(self, user: str, table: str) -> None:
-        self.access.check(user, table)
-
     def _run_op(self, user: str, op: str, args: dict[str, Any]) -> Any:
-        local = self._local
-        if op == "execute":
-            request = args["request"]
-            if not isinstance(request, srv.ServerQuery):
-                raise CodecError("execute expects a ServerQuery request")
-            self._check(user, request.table)
-            if request.join is not None:
-                self._check(user, request.join.build_table)
-            return local.execute(request)
-        if op == "scan":
-            self._check(user, args["table"])
-            return local.scan(args["table"], args["columns"], args.get("filter"))
-        if op == "upload":
-            batch = codec.unpack_table(args["batch"])
-            self._check(user, batch.name)
-            return local.upload(batch)
-        if op == "append_batch":
-            self._check(user, args["table"])
-            batch = codec.unpack_table(args["batch"])
-            return local.append_batch(args["table"], batch, args["column_meta"])
-        if op == "table_meta":
-            self._check(user, args["table"])
-            return local.table_meta(args["table"])
-        if op == "storage_bytes":
-            self._check(user, args["table"])
-            return local.storage_bytes(args["table"])
-        if op == "save_store":
-            self._check(user, args["table"])
-            return local.save_store(
-                args["table"],
-                args["path"],
-                args["column_meta"],
-                overwrite=bool(args.get("overwrite", False)),
-            )
-        if op == "commit_state":
-            self._check(user, args["table"])
-            return local.commit_state(args["table"], args["payload"])
-        if op == "read_store_state":
-            payload = local.read_store_state(args["path"])
-            self._check(user, payload["schema"]["name"])
-            return payload
-        if op == "read_sharded_state":
-            payload = local.read_sharded_state(args["path"])
-            self._check(user, payload["schema"]["name"])
-            return payload
-        if op == "store_rows":
-            self._check(user, args["table"])
-            return local.store_rows(args["table"])
-        if op == "truncate_store":
-            self._check(user, args["table"])
-            return local.truncate_store(args["table"], int(args["committed"]))
-        if op == "reopen":
-            self._check(user, args["table"])
-            return local.reopen(args["table"])
-        if op == "compact":
-            self._check(user, args["table"])
-            return local.compact(args["table"], target_rows=args.get("target_rows"))
-        if op == "store_stats":
-            self._check(user, args["table"])
-            return local.store_stats(args["table"])
-        if op == "generations":
-            self._check(user, args["table"])
-            return local.generations(args["table"])
-        if op == "rebuild_index":
-            self._check(user, args["table"])
-            return local.rebuild_index(args["table"])
-        if op == "attach":
-            resolved = self.cluster.config.resolve_store_path(args["path"])
-            table = open_committed_store(resolved)
-            self._check(user, table.name)
-            self.server.register(table)
-            return {"name": table.name, "num_rows": table.num_rows}
-        if op == "attach_sharded":
-            payload = local.read_sharded_state(args["path"])
-            name = payload["schema"]["name"]
-            self._check(user, name)
-            root = self._sharded_roots.get(name)
-            if root is None:
-                self.host_sharded(args["path"])
-                root = self._sharded_roots[name]
-            return {"name": name, "root": root}
-        if op == "audit":
-            result = audit_keyless(self)
-            return {
-                "ok": result.ok,
-                "objects_walked": result.objects_walked,
-                "flagged": list(result.flagged),
-            }
-        if op == "metrics":
-            # Live introspection: the serving process's own registry.
-            # Auth-gated like every op (the connection already passed
-            # _authenticate); contains only names, labels and numbers.
-            reg = obs_metrics.get_registry()
-            if args.get("fmt") == "json":
-                return {"fmt": "json", "metrics": reg.snapshot()}
-            return {"fmt": "prometheus", "text": reg.prometheus()}
-        if op == "trace":
-            limit = args.get("limit")
-            spans = obs_trace.get_tracer().spans(
-                trace_id=args.get("trace_id"),
-                limit=int(limit) if limit is not None else 256,
-            )
-            return {"spans": [s.to_dict() for s in spans]}
-        raise TransportError(f"unknown service operation {op!r}")
+        spec = RPC_OPS.get(op)
+        if spec is None:
+            raise TransportError(f"unknown service operation {op!r}")
+        args = {**args, **{key: codec.unpack_table(args[key]) for key in spec.batches}}
+        for table in spec.acl(self, args):
+            self.access.check(user, table)
+        # Looked up per call, never cached: a wrapper installed on a
+        # handler class (a tracer, a profiler) sees every later request.
+        owner = self if spec.on_service else self._local
+        return getattr(owner, op)(**args)
+
+    # -- service-side op handlers ------------------------------------------
+
+    def ping(self) -> dict[str, Any]:
+        """Liveness probe; the service answers it outside admission."""
+        return {"server": "seabed"}
+
+    def audit(self) -> dict[str, Any]:
+        """Run the keyless audit *inside the serving process* and return
+        its summary: ``{"ok", "objects_walked", "flagged"}``."""
+        result = audit_keyless(self)
+        return {
+            "ok": result.ok,
+            "objects_walked": result.objects_walked,
+            "flagged": list(result.flagged),
+        }
+
+    def metrics(self, fmt: str = "prometheus") -> dict[str, Any]:
+        """Scrape the serving process's metrics registry.
+
+        ``fmt="prometheus"`` returns ``{"fmt", "text"}`` with the text
+        exposition; ``fmt="json"`` returns ``{"fmt", "metrics"}`` with
+        the nested snapshot.  Holds only names, labels and numbers.
+        """
+        reg = obs_metrics.get_registry()
+        if fmt == "json":
+            return {"fmt": "json", "metrics": reg.snapshot()}
+        return {"fmt": "prometheus", "text": reg.prometheus()}
+
+    def trace(self, trace_id: str | None = None, limit: int = 256) -> dict[str, Any]:
+        """Recent spans retained by the serving process (local-only
+        traces of untraced requests included), optionally filtered by
+        ``trace_id``; returns ``{"spans": [span dicts...]}``."""
+        spans = obs_trace.get_tracer().spans(
+            trace_id=trace_id, limit=int(limit) if limit is not None else 256
+        )
+        return {"spans": [s.to_dict() for s in spans]}
+
+    def attach_sharded(self, path: str) -> dict[str, Any]:
+        """Host the persisted sharded table at ``path`` unless it already
+        is; returns ``{"name", "root"}``."""
+        name = self._local.read_sharded_state(path)["schema"]["name"]
+        if name not in self._sharded_roots:
+            self.host_sharded(path)
+        return {"name": name, "root": self._sharded_roots[name]}
 
     def _traced_run(
         self,
@@ -407,7 +469,8 @@ class SeabedService:
         args = body.get("args") or {}
         trace_ctx = self._trace_of(body)
         if op == "ping":
-            return {"ok": True, "result": {"server": "seabed", "user": user}}
+            # Liveness probe: answered on the loop, outside admission.
+            return {"ok": True, "result": self._run_op(user, op, {})}
         tenant = self._tenant(user)
         queued_at = time.monotonic()
         if not await self._admit(tenant):

@@ -260,6 +260,10 @@ class TestBackCompatShim:
         with pytest.raises(PlanningError, match="unknown client mode"):
             SeabedSession(mode="bogus")
 
+    def test_cluster_config_rejected_at_construction(self):
+        with pytest.raises(PlanningError, match=r"SimulatedCluster\(config\)"):
+            SeabedSession(cluster=ClusterConfig())
+
     def test_unplanned_table_raises(self):
         session = SeabedSession(mode="seabed", seed=5)
         with pytest.raises(PlanningError, match="create_plan"):
